@@ -29,8 +29,8 @@ const (
 	batchDocs    = 8
 	batchDrivers = 150 // about 2.2k source facts per document
 	// batchRate is the open-loop rate, fixed here and never searched
-	// for: about 40% of the measured ops_per_s (see plan.rate).
-	batchRate = 4.0
+	// for: at most 40% of the slowest raw ops_per_s measured (see plan.rate).
+	batchRate = 3.2
 )
 
 type batchState struct {
@@ -108,7 +108,7 @@ func runChaseBatch(b *bench) (map[string]float64, error) {
 		return out, b.batchTraced(st, out)
 	}
 	var first *batchState
-	st, setupS, err := timeSetup(3, func(int) (*batchState, error) {
+	st, setupS, err := timeSetup(b, 3, func(int) (*batchState, error) {
 		st, err := b.batchSetup()
 		if err == nil && first != nil {
 			for k := range st.refs {
@@ -126,10 +126,13 @@ func runChaseBatch(b *bench) (map[string]float64, error) {
 		return nil, err
 	}
 	out["setup_s"] = setupS
-	cpu0 := selfCPU()
+	if err := resetPeakRSS(os.Getpid()); err != nil {
+		return nil, err
+	}
+	cpu0, probe0 := selfCPU(), b.speed.cpu
 	m := b.measure(plan{latency: 0.5, throughput: 0.2, open: 0.3, rate: batchRate},
 		phaseOps{latency: st.batchOp(), throughput: st.batchOp(tdx.WithParallelism(1)), cycle: batchDocs})
-	cpu := selfCPU() - cpu0
+	cpu := selfCPU() - cpu0 - (b.speed.cpu - probe0)
 	m.endToEnd(out)
 	out["cpu_ms_per_op"] = ms(cpu) / float64(m.ops())
 	rss, err := peakRSSMB(os.Getpid())
@@ -211,32 +214,21 @@ func (b *bench) batchTraced(st *batchState, out map[string]float64) error {
 		encBytes.Add(cw.n)
 		return nil
 	}
-	untracedOp := st.batchOp()
-	var untraced []float64
-	var allocs, allocBytes uint64
-	var gcCPU, totalCPU float64
-	part := time.Duration(b.seconds * float64(time.Second) / (2 * rounds))
-	tracedOps := 0
-	uCur, tCur := &cursor{cycle: batchDocs}, &cursor{cycle: batchDocs}
-	for r := 0; r < rounds; r++ {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		g0, t0 := gcCPUSeconds()
-		lat, _ := b.closedLoop(1, part, uCur, r == rounds-1, 0, nil, untracedOp)
-		g1, t1 := gcCPUSeconds()
-		runtime.ReadMemStats(&m1)
-		untraced = append(untraced, lat...)
-		allocs += m1.Mallocs - m0.Mallocs
-		allocBytes += m1.TotalAlloc - m0.TotalAlloc
-		gcCPU += g1 - g0
-		totalCPU += t1 - t0
-		tl, _ := b.closedLoop(1, part, tCur, r == rounds-1, 0, nil, traced)
-		tracedOps += len(tl)
+	// The untraced ops also count the runtime's allocations and GC CPU,
+	// read from cumulative counters that do not stop the world.
+	plain := st.batchOp()
+	var rt runtimeCounts
+	untracedOp := func(c int, n int64) error {
+		r0 := readRuntime()
+		err := plain(c, n)
+		rt.add(readRuntime().sub(r0))
+		return err
 	}
+	untraced := b.alternate(nil, untracedOp, traced, batchDocs)
 	n := float64(len(untraced))
-	out["runtime.allocs_per_op"] = float64(allocs) / n
-	out["runtime.alloc_mb_per_op"] = float64(allocBytes) / n / (1 << 20)
-	out["runtime.gc_cpu_share"] = gcCPU / totalCPU
+	out["runtime.allocs_per_op"] = rt.objects / n
+	out["runtime.alloc_mb_per_op"] = rt.bytes / n / (1 << 20)
+	out["runtime.gc_cpu_share"] = rt.gcCPU / rt.totalCPU
 
 	// Probes: one pass over the documents each.
 	var normMs, renormMs, srcFacts, normFacts float64
@@ -271,7 +263,7 @@ func (b *bench) batchTraced(st *batchState, out map[string]float64) error {
 	}
 	docs := float64(len(st.texts))
 	r := b.tr.rollup()
-	ops := float64(tracedOps)
+	ops := float64(r.count["op"])
 	parse := r.perOp("parser")
 	tgd := r.perOp("chase.tgd") - normMs/docs
 	egd := r.perOp("chase.egd")
@@ -289,7 +281,7 @@ func (b *bench) batchTraced(st *batchState, out map[string]float64) error {
 	out["jsonio.encode.bytes_per_op"] = float64(encBytes.Load()) / ops
 	out["server.rejected_ratio"] = 0 // no server on this path
 	accounting(out, mean(untraced), r.meanDur("op"), parse, normMs/docs, tgd, egd, enc)
-	logf("chase-batch traced: %d untraced and %d traced ops", len(untraced), tracedOps)
+	logf("chase-batch traced: %d untraced and %d traced ops", len(untraced), r.count["op"])
 	return nil
 }
 
@@ -305,9 +297,37 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// gcCPUSeconds reads the runtime's cumulative GC and total CPU estimates.
-func gcCPUSeconds() (gc, total float64) {
-	s := []metrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}, {Name: "/cpu/classes/total:cpu-seconds"}}
+// runtimeCounts are cumulative runtime counters: heap allocations and
+// the runtime's estimates of GC and total CPU time.
+type runtimeCounts struct {
+	objects, bytes, gcCPU, totalCPU float64
+}
+
+// readRuntime reads the counters through runtime/metrics, which does not
+// stop the world.
+func readRuntime() runtimeCounts {
+	s := []metrics.Sample{
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/cpu/classes/total:cpu-seconds"},
+	}
 	metrics.Read(s)
-	return s[0].Value.Float64(), s[1].Value.Float64()
+	return runtimeCounts{
+		objects:  float64(s[0].Value.Uint64()),
+		bytes:    float64(s[1].Value.Uint64()),
+		gcCPU:    s[2].Value.Float64(),
+		totalCPU: s[3].Value.Float64(),
+	}
+}
+
+func (a runtimeCounts) sub(b runtimeCounts) runtimeCounts {
+	return runtimeCounts{a.objects - b.objects, a.bytes - b.bytes, a.gcCPU - b.gcCPU, a.totalCPU - b.totalCPU}
+}
+
+func (a *runtimeCounts) add(b runtimeCounts) {
+	a.objects += b.objects
+	a.bytes += b.bytes
+	a.gcCPU += b.gcCPU
+	a.totalCPU += b.totalCPU
 }

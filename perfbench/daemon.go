@@ -302,6 +302,12 @@ func peakRSSMB(pid int) (float64, error) {
 	return kb / 1024, err
 }
 
+// resetPeakRSS sets the process's VmHWM back to its current resident
+// size, so a later peakRSSMB covers only what ran after the call.
+func resetPeakRSS(pid int) error {
+	return os.WriteFile(fmt.Sprintf("/proc/%d/clear_refs", pid), []byte("5"), 0)
+}
+
 // writeBytes is the byte count the process has caused to be written to
 // storage.
 func writeBytes(pid int) (float64, error) {

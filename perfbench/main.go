@@ -98,7 +98,8 @@ type bench struct {
 	tdxd    string // path of the built tdxd binary
 	work    string // this run's scratch directory
 
-	tr *tracer // nil unless -trace 1
+	tr    *tracer    // nil unless -trace 1
+	speed *hostSpeed // nil in the traced run
 
 	attempted atomic.Int64
 	failed    atomic.Int64
@@ -169,6 +170,8 @@ func main() {
 	}
 	if b.trace {
 		b.tr = newTracer()
+	} else {
+		b.speed = newHostSpeed()
 	}
 	metrics, err := w.run(b)
 	if rmErr := os.RemoveAll(b.work); rmErr != nil {
@@ -188,6 +191,9 @@ func main() {
 	}
 	for _, n := range b.notes {
 		logf("failure: %s", n)
+	}
+	if !b.trace {
+		atReferenceSpeed(metrics, b.speed)
 	}
 	out := resultOut{
 		Correct:   b.wrong.Load() == 0,
@@ -221,6 +227,22 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println(string(line))
+}
+
+// atReferenceSpeed rescales the time metrics of an untraced run to the
+// reference host speed (see hostspeed.go) and logs the raw values.
+func atReferenceSpeed(metrics map[string]float64, h *hostSpeed) {
+	f := h.factor()
+	logf("host factor %.4f: probes %.2f ms over a reference of %.1f ms", f, h.times, probeRefMs)
+	for _, name := range []string{"setup_s", "p50_ms", "p90_ms", "ops_per_s", "open_p50_ms", "cpu_ms_per_op"} {
+		raw := metrics[name]
+		if name == "ops_per_s" {
+			metrics[name] = raw * f
+		} else {
+			metrics[name] = raw / f
+		}
+		logf("  %-14s raw %.4f", name, raw)
+	}
 }
 
 // checkCheckout fails fast when the directory is not a buildable

@@ -177,9 +177,10 @@ const rounds = 4
 // phases.
 type plan struct {
 	latency, throughput, open float64 // shares of the measuring time
-	// rate is the open-loop rate in ops per second, a constant near 40%
-	// of the workload's ops_per_s: at half, a slow spell of the shared
-	// host pushed the open loop into queueing and doubled its p50.
+	// rate is the open-loop rate in ops per second, a constant of at
+	// most 40% of the slowest raw ops_per_s measured on the workload: at
+	// half, a slow spell of the shared host pushed the open loop into
+	// queueing and doubled its p50.
 	rate float64
 }
 
@@ -214,12 +215,22 @@ func (b *bench) measure(p plan, ops phaseOps) measured {
 	// rounded to cycles and split over the rounds.
 	openOps := max(1, int64(math.Round(p.rate*p.open*b.seconds/float64(cycle)))) * cycle
 	latCur, thruCur, openCur := &cursor{cycle: cycle}, &cursor{cycle: cycle}, &cursor{cycle: cycle}
+	// The one-client phase also probes the host's speed between ops.
+	latPrep := func(c int) error {
+		b.speed.probeDue()
+		if ops.prep != nil {
+			return ops.prep(c)
+		}
+		return nil
+	}
 	var m measured
 	start := time.Now()
 	for r := 0; r < rounds; r++ {
 		final := r == rounds-1
-		lat, _ := b.closedLoop(1, share(p.latency), latCur, final, minLatencySamples, ops.prep, ops.latency)
+		b.speed.probe()
+		lat, _ := b.closedLoop(1, share(p.latency), latCur, final, minLatencySamples, latPrep, ops.latency)
 		m.lat = append(m.lat, lat...)
+		b.speed.probe()
 		thru, busy := b.closedLoop(nproc, share(p.throughput), thruCur, final, 0, ops.prep, ops.throughput)
 		m.thruOps += len(thru) // successful ops only
 		m.thruBusy += busy
@@ -227,11 +238,13 @@ func (b *bench) measure(p plan, ops phaseOps) measured {
 		if final {
 			count = openOps - count*(rounds-1)
 		}
+		b.speed.probe()
 		open, late := b.openLoop(p.rate, count, openCur, ops.prep, ops.latency)
 		m.open = append(m.open, open...)
 		m.late = append(m.late, late...)
 	}
 	m.phaseTime = time.Since(start)
+	b.speed.probe()
 	return m
 }
 
@@ -290,15 +303,17 @@ func (b *bench) alternate(prep prepFunc, untraced, traced opFunc, cycle int) []f
 	return lat
 }
 
-// timeSetup runs setup n times and returns the median duration in
-// seconds together with the last setup's result, which the measuring
-// phases use; the earlier results are torn down.
-func timeSetup[T any](n int, setup func(i int) (T, error), teardown func(T)) (T, float64, error) {
+// timeSetup runs setup n times, each after a host-speed probe, and
+// returns the median duration in seconds together with the last setup's
+// result, which the measuring phases use; the earlier results are torn
+// down.
+func timeSetup[T any](b *bench, n int, setup func(i int) (T, error), teardown func(T)) (T, float64, error) {
 	var (
 		last  T
 		times []float64
 	)
 	for i := 0; i < n; i++ {
+		b.speed.probe()
 		t0 := time.Now()
 		v, err := setup(i)
 		if err != nil {

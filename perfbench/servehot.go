@@ -25,18 +25,18 @@ import (
 const (
 	hotDocs = 48
 	// hotRate is the open-loop rate, fixed here and never searched
-	// for: about 40% of the measured ops_per_s (see plan.rate).
-	hotRate = 32.0
+	// for: at most 40% of the slowest raw ops_per_s measured (see plan.rate).
+	hotRate = 18.0
 )
 
-// poolSizes returns n solution sizes from 1k to 10k facts, most of them
-// small: size k is 1000·10^((k/(n-1))³). Keeping most documents small
-// keeps the warm-up pass, which chases every document, short.
+// poolSizes returns n solution sizes spread log-uniformly from 1k to
+// 10k facts, the range the workload is defined over: size k is
+// 1000·10^(k/(n-1)); for n = 16, 6 of them stream past the 4096-fact
+// threshold.
 func poolSizes(n int) []int {
 	out := make([]int, n)
 	for k := range out {
-		x := float64(k) / float64(n-1)
-		out[k] = int(1000 * math.Pow(10, x*x*x))
+		out[k] = int(1000 * math.Pow(10, float64(k)/float64(n-1)))
 	}
 	return out
 }
@@ -156,18 +156,21 @@ type mixItem struct {
 	kind hotKind
 }
 
-// newMix builds one cycle of the serving mix. The document of
-// popularity rank r appears round(16·(2/(2+r))^1.1) times, at least
-// once — a Zipf law over rank with s = 1.1 — and its occurrences take
-// their op kinds in turn from run, run, run?query=, answer. The seed
-// shuffles the cycle. Phases run whole cycles, so every seed sends the
-// same mix; drawing each op independently instead left p90 and the
-// open-loop p50 at the mercy of how many large documents a run drew.
+// newMix builds one cycle of the serving mix. Nothing in the
+// repository records real traffic, so its shape is an assumption, kept
+// as plain as the workload's definition allows: a Zipf law over
+// popularity rank with exponent 1, the document of rank r (from 0)
+// appearing round(24/(r+1)) times, at least once; and the three
+// endpoints in equal shares, each document's occurrences taking their
+// op kinds in turn from run, run?query= and answer. The seed shuffles
+// the cycle. Phases run whole cycles, so every seed sends the same mix;
+// drawing each op independently instead left p90 and the open-loop p50
+// at the mercy of how many large documents a run drew.
 func newMix(p *pool, seed int64) []mixItem {
-	kinds := []hotKind{kindRun, kindRun, kindRunQuery, kindAnswer}
+	kinds := []hotKind{kindRun, kindRunQuery, kindAnswer}
 	var mix []mixItem
 	for r, d := range p.docs {
-		m := max(1, int(math.Round(16*math.Pow(2/float64(2+r), 1.1))))
+		m := max(1, int(math.Round(24/float64(r+1))))
 		for j := 0; j < m; j++ {
 			mix = append(mix, mixItem{doc: d, kind: kinds[(r+j)%len(kinds)]})
 		}
@@ -291,7 +294,7 @@ func runServeHot(b *bench) (map[string]float64, error) {
 	if b.trace {
 		reps = 1
 	}
-	st, setupS, err := timeSetup(reps, setup, teardown)
+	st, setupS, err := timeSetup(b, reps, setup, teardown)
 	if err != nil {
 		return nil, err
 	}
@@ -311,6 +314,11 @@ func runServeHot(b *bench) (map[string]float64, error) {
 // measureServer runs the three end-to-end phases against daemons and
 // fills the end-to-end metrics, CPU and peak memory summed over them.
 func (b *bench) measureServer(ops phaseOps, rate float64, nodes []*daemon, out map[string]float64) error {
+	for _, n := range nodes {
+		if err := resetPeakRSS(n.pid()); err != nil {
+			return err
+		}
+	}
 	cpu0, err := cpuOf(nodes)
 	if err != nil {
 		return err
@@ -340,6 +348,23 @@ func (b *bench) measureServer(ops phaseOps, rate float64, nodes []*daemon, out m
 	return nil
 }
 
+// traceReply runs one HTTP op and records its span, split at the first
+// response byte: server.ttfb until the response head arrived,
+// server.body until the body was read.
+func (b *bench) traceReply(do func() (reply, error)) error {
+	op := b.tr.newOp()
+	t0 := time.Now()
+	r, err := do()
+	end := time.Now()
+	if err != nil {
+		return err
+	}
+	root := b.tr.record("op", op, -1, t0, end)
+	b.tr.record("server.ttfb", op, root, t0, t0.Add(r.ttfb))
+	b.tr.record("server.body", op, root, t0.Add(r.ttfb), t0.Add(r.total))
+	return nil
+}
+
 func cpuOf(nodes []*daemon) (time.Duration, error) {
 	var sum time.Duration
 	for _, n := range nodes {
@@ -366,18 +391,13 @@ func (b *bench) hotTraced(ops *hotOps, nodes []*daemon, settings []*setting, out
 		return err
 	}
 	traced := func(_ int, n int64) error {
-		op := b.tr.newOp()
-		t0 := time.Now()
-		s, err := ops.do(n)
-		end := time.Now()
-		if err != nil {
-			return err
-		}
-		samples = append(samples, s)
-		root := b.tr.record("op", op, -1, t0, end)
-		b.tr.record("server.ttfb", op, root, t0, t0.Add(s.ttfb))
-		b.tr.record("server.body", op, root, t0.Add(s.ttfb), t0.Add(s.total))
-		return nil
+		return b.traceReply(func() (reply, error) {
+			s, err := ops.do(n)
+			if err == nil {
+				samples = append(samples, s)
+			}
+			return s.reply, err
+		})
 	}
 	before, err := scrapeAll(ops.client, nodes)
 	if err != nil {

@@ -19,14 +19,31 @@ import (
 )
 
 // session-append: the write path. Each of nproc clients appends to its
-// own employment session, opened over a base of about 2.4k source
-// facts; each append holds 2–32 facts, new-hire (E, S) pairs plus job
-// moves of existing persons. A session is retired after sessAppends
-// appends and the client opens a fresh one over a new base, so sessions
-// stay near the base size however long a run is; opening is untimed
-// upkeep, not an op sample. After the timed phases the daemon is
-// SIGKILLed, restarted from -state, and every live session is checked
-// against a full re-chase of its base plus its acknowledged deltas.
+// own employment sessions, opened over bases of about 2.4k source
+// facts; each append holds 2–32 facts. Every client owns sessBases fixed
+// seeded bases and a fixed stream of sessAppends deltas per base. It
+// works through one base's stream in one session, then deletes that
+// session and reopens over its next base, so sessions stay near the
+// base size however long a run is, and a faster host or program opens
+// no more distinct bases than a slower one. Setup opens every base
+// once, which fills the daemon's run cache with them: every later open
+// is a snapshot load, untimed upkeep rather than an op sample. A
+// session reopened from a snapshot retains no chase state, so its first
+// append re-chases base plus delta in full.
+//
+// Seven appends in eight are plain: new-hire (E, S) pairs and job moves
+// of base persons without a salary to companies new to the base, so no
+// delta fact joins a base fact and the delta chase stays incremental.
+// Every eighth append joins base facts: it moves salaried base persons
+// into companies they already worked for, over part of their salary's
+// interval, so sigma2 joins delta E facts with base S facts and the
+// salary egd merges into base rows. A delta that joins base facts
+// refragments them, and the daemon answers it with the full re-chase
+// fallback; with the first append of every reopened session, about
+// one append in six takes it.
+// After the timed phases the daemon is SIGKILLed, restarted from
+// -state, and every live session is checked against a full re-chase of
+// its base plus its acknowledged deltas.
 //
 // Appends of 128 or more facts are deliberately absent: above the
 // parallel delta cutoff a multi-core daemon can die of a data race in
@@ -34,35 +51,122 @@ import (
 
 const (
 	sessPersons = 500 // about 2.4k source facts per base
-	sessAppends = 32  // appends per session before it is retired
-	sessWarm    = 16  // warm-up appends per client in setup
+	sessBases   = 2   // fixed bases per client
+	sessAppends = 32  // appends per session before it is reopened over the client's next base
+	sessWarm    = 8   // warm-up appends per base in setup
 	// sessRate is the open-loop rate, fixed here and never searched
-	// for: about 40% of the measured ops_per_s (see plan.rate).
-	sessRate = 35.0
+	// for: at most 40% of the slowest raw ops_per_s measured (see plan.rate).
+	sessRate = 16.0
 )
 
-// liveSession is a client's current session and what it was sent.
-type liveSession struct {
-	id     string
-	base   []byte   // base document as posted
-	deltas [][]byte // acknowledged delta bodies, in order
-	rng    *rand.Rand
-	hires  int
-	unpaid []string // base persons without a salary fact
+// sessBase is one fixed base document and the deltas appended to it.
+type sessBase struct {
+	body   []byte   // base document as posted
+	deltas [][]byte // the sessAppends delta bodies, in order
 }
+
+// newSessBase generates base k of client c and its delta stream.
+func newSessBase(set *setting, seed int64, c, k int) (*sessBase, error) {
+	seed = subSeed(seed, 2000+c*sessBases+k)
+	src := set.gen(seed, sessPersons*49/10)
+	body, err := tdx.NewInstance(src).JSON()
+	if err != nil {
+		return nil, err
+	}
+	g := &deltaGen{rng: rand.New(rand.NewSource(seed)), hirePrefix: fmt.Sprintf("h%d.%d.", c, k),
+		salary: map[string]interval.Interval{}, jobs: map[string][]string{}}
+	src.EachFact(func(f fact.CFact) bool {
+		name := f.Args[0].String()
+		switch f.Rel {
+		case "S":
+			g.salary[name] = f.T
+		case "E":
+			g.jobs[name] = append(g.jobs[name], f.Args[1].String())
+		}
+		return true
+	})
+	for p := 0; p < sessPersons; p++ {
+		if name := fmt.Sprintf("p%d", p); g.salary[name] != (interval.Interval{}) {
+			g.paid = append(g.paid, name)
+		} else {
+			g.unpaid = append(g.unpaid, name)
+		}
+	}
+	b := &sessBase{body: body}
+	for j := 0; j < sessAppends; j++ {
+		d, err := g.next(instance.NewConcrete(set.ex.Mapping().Source), j%8 == 7)
+		if err != nil {
+			return nil, err
+		}
+		b.deltas = append(b.deltas, d)
+	}
+	return b, nil
+}
+
+// deltaGen draws one base's delta stream.
+type deltaGen struct {
+	rng          *rand.Rand
+	hirePrefix   string
+	hires        int
+	paid, unpaid []string                     // base persons with and without a salary fact
+	salary       map[string]interval.Interval // each salaried person's salary interval
+	jobs         map[string][]string          // each base person's companies
+}
+
+// next draws a delta of 2–32 facts into c, an empty source instance:
+// new hires (an E and an S fact each) plus at least one job move, of a
+// person without a salary to a company new to the base or, when join is
+// set, of a salaried person into a company of theirs during their
+// salary. A person keeps at most one salary, so no append can make the
+// chase fail.
+func (g *deltaGen) next(c *instance.Concrete, join bool) ([]byte, error) {
+	r := g.rng
+	n := 2 + r.Intn(31)
+	hires := r.Intn(n / 2)
+	for i := 0; i < hires; i++ {
+		name := paperex.C(fmt.Sprintf("%s%d", g.hirePrefix, g.hires))
+		g.hires++
+		t := interval.Time(r.Intn(90))
+		c.MustInsert(fact.NewC("E", interval.MustNew(t, t+1+interval.Time(r.Intn(20))), name, paperex.C(fmt.Sprintf("c%d", r.Intn(250)))))
+		s := t + interval.Time(r.Intn(5))
+		c.MustInsert(fact.NewC("S", interval.MustNew(s, s+1+interval.Time(r.Intn(30))), name, paperex.C(fmt.Sprintf("%dk", 10+r.Intn(90)))))
+	}
+	for i := 0; i < n-2*hires; i++ {
+		if !join {
+			t := interval.Time(r.Intn(95))
+			c.MustInsert(fact.NewC("E", interval.MustNew(t, t+1+interval.Time(r.Intn(10))),
+				paperex.C(g.unpaid[r.Intn(len(g.unpaid))]), paperex.C(fmt.Sprintf("new%d", r.Intn(50)))))
+			continue
+		}
+		p := g.paid[r.Intn(len(g.paid))]
+		jobs := g.jobs[p]
+		sal := g.salary[p]
+		t := sal.Start + interval.Time(r.Intn(int(sal.End-sal.Start)))
+		c.MustInsert(fact.NewC("E", interval.MustNew(t, t+1), paperex.C(p), paperex.C(jobs[r.Intn(len(jobs))])))
+	}
+	return tdx.NewInstance(c).JSON()
+}
+
+// liveSession is a client's current session: the base it was opened
+// over and how many of that base's deltas it has acknowledged.
+type liveSession struct {
+	id    string
+	base  *sessBase
+	acked int
+}
+
+func (ls *liveSession) deltas() [][]byte { return ls.base.deltas[:ls.acked] }
 
 type sessState struct {
 	d      *daemon
 	hash   string
 	set    *setting
 	client *http.Client
-	seed   int64
+	bases  [nproc][sessBases]*sessBase
 	mu     sync.Mutex
-	opened int                 // sessions opened so far (stream index of the next base)
+	next   [nproc]int          // index of the base each client opens next
 	live   [nproc]*liveSession // a client index is used by one goroutine at a time
-	// retired sessions, kept for the traced run's in-process replay
-	retired []*liveSession
-	bytes   int64 // delta body bytes acknowledged
+	bytes  int64               // delta body bytes acknowledged
 	// Per-append head fields, for the per-layer metrics.
 	samples []sessSample
 }
@@ -74,19 +178,17 @@ type sessSample struct {
 	ttfb, total       time.Duration
 }
 
-// open starts a fresh session for client c over a new seeded base.
+// open deletes client c's session, if any, and opens one over the
+// client's next base.
 func (s *sessState) open(c int) error {
-	s.mu.Lock()
-	k := s.opened
-	s.opened++
-	s.mu.Unlock()
-	seed := subSeed(s.seed, 2000+k)
-	src := s.set.gen(seed, sessPersons*49/10)
-	base, err := tdx.NewInstance(src).JSON()
-	if err != nil {
-		return err
+	if old := s.live[c]; old != nil {
+		if err := del(s.client, s.d.url("/v1/sessions/"+old.id)); err != nil {
+			return err
+		}
 	}
-	r, err := post(s.client, s.d.url("/v1/exchanges/"+s.hash+"/sessions"), "application/json", base)
+	base := s.bases[c][s.next[c]]
+	s.next[c] = (s.next[c] + 1) % sessBases
+	r, err := post(s.client, s.d.url("/v1/exchanges/"+s.hash+"/sessions"), "application/json", base.body)
 	if err != nil {
 		return err
 	}
@@ -94,79 +196,29 @@ func (s *sessState) open(c int) error {
 	if err != nil {
 		return err
 	}
-	if old := s.live[c]; old != nil {
-		if err := del(s.client, s.d.url("/v1/sessions/"+old.id)); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.retired = append(s.retired, old)
-		s.mu.Unlock()
-	}
-	ls := &liveSession{id: id, base: base, rng: rand.New(rand.NewSource(seed))}
-	paid := map[string]bool{}
-	src.EachFact(func(f fact.CFact) bool {
-		if f.Rel == "S" {
-			paid[f.Args[0].String()] = true
-		}
-		return true
-	})
-	for p := 0; p < sessPersons; p++ {
-		if name := fmt.Sprintf("p%d", p); !paid[name] {
-			ls.unpaid = append(ls.unpaid, name)
-		}
-	}
-	s.live[c] = ls
+	s.live[c] = &liveSession{id: id, base: base}
 	return nil
 }
 
-// prep retires client c's session once it has taken sessAppends appends.
+// prep reopens client c's session once it has taken sessAppends appends.
 func (s *sessState) prep(c int) error {
-	if ls := s.live[c]; ls == nil || len(ls.deltas) >= sessAppends {
+	if ls := s.live[c]; ls == nil || ls.acked >= sessAppends {
 		return s.open(c)
 	}
 	return nil
 }
 
-// nextDelta draws the session's next append into c, an empty source
-// instance: 2–32 facts, new hires (an E and an S fact each) plus job
-// moves of base persons without a salary to companies new to the base.
-// A person keeps at most one salary, so no append can make the chase
-// fail, and no delta fact joins a base fact, so the delta chase can
-// stay on its incremental path.
-func (ls *liveSession) nextDelta(c *instance.Concrete) ([]byte, error) {
-	r := ls.rng
-	n := 2 + r.Intn(31)
-	hires := r.Intn(n/2 + 1)
-	for i := 0; i < hires; i++ {
-		name := paperex.C(fmt.Sprintf("h%d", ls.hires))
-		ls.hires++
-		t := interval.Time(r.Intn(90))
-		c.MustInsert(fact.NewC("E", interval.MustNew(t, t+1+interval.Time(r.Intn(20))), name, paperex.C(fmt.Sprintf("c%d", r.Intn(250)))))
-		s := t + interval.Time(r.Intn(5))
-		c.MustInsert(fact.NewC("S", interval.MustNew(s, s+1+interval.Time(r.Intn(30))), name, paperex.C(fmt.Sprintf("%dk", 10+r.Intn(90)))))
-	}
-	for i := 0; i < n-2*hires; i++ {
-		t := interval.Time(r.Intn(95))
-		c.MustInsert(fact.NewC("E", interval.MustNew(t, t+1+interval.Time(r.Intn(10))),
-			paperex.C(ls.unpaid[r.Intn(len(ls.unpaid))]), paperex.C(fmt.Sprintf("new%d", r.Intn(50)))))
-	}
-	return tdx.NewInstance(c).JSON()
-}
-
 // do appends client c's next delta and records the head fields.
 func (s *sessState) do(c int) (sessSample, error) {
 	ls := s.live[c]
-	body, err := ls.nextDelta(instance.NewConcrete(s.set.ex.Mapping().Source))
-	if err != nil {
-		return sessSample{}, err
-	}
+	body := ls.base.deltas[ls.acked]
 	t0 := time.Now()
 	r, err := post(s.client, s.d.url("/v1/sessions/"+ls.id+"/facts"), "application/json", body)
 	rtt := time.Since(t0)
 	if err != nil {
 		return sessSample{}, err
 	}
-	ls.deltas = append(ls.deltas, body)
+	ls.acked++
 	sm := sessSample{rtt: ms(rtt), fallback: jsonBool(r.body, "fallbackFullChase"), ttfb: r.ttfb, total: r.total}
 	for _, f := range []struct {
 		name string
@@ -193,13 +245,21 @@ func runSessionAppend(b *bench) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	var bases [nproc][sessBases]*sessBase
+	for c := range bases {
+		for k := range bases[c] {
+			if bases[c][k], err = newSessBase(set, b.seed, c, k); err != nil {
+				return nil, err
+			}
+		}
+	}
 	client := newClient()
 	setup := func(i int) (*sessState, error) {
 		d, err := b.startDaemon(fmt.Sprintf("tdxd-sess-%d", i), filepath.Join(b.work, fmt.Sprintf("sess-%d", i)))
 		if err != nil {
 			return nil, err
 		}
-		st := &sessState{d: d, set: set, client: client, seed: b.seed}
+		st := &sessState{d: d, set: set, client: client, bases: bases}
 		hashes, err := register(client, d, []*setting{set})
 		if err == nil {
 			st.hash = hashes[set.name]
@@ -219,7 +279,7 @@ func runSessionAppend(b *bench) (map[string]float64, error) {
 	if b.trace {
 		reps = 1
 	}
-	st, setupS, err := timeSetup(reps, setup, teardown)
+	st, setupS, err := timeSetup(b, reps, setup, teardown)
 	if err != nil {
 		return nil, err
 	}
@@ -249,15 +309,20 @@ func runSessionAppend(b *bench) (map[string]float64, error) {
 	return out, nil
 }
 
-// warm opens each client's first session and appends sessWarm deltas.
+// warm opens a session over every base of every client, which chases
+// each base once and leaves it in the daemon's run cache, and appends
+// sessWarm deltas to each. Each client ends on a live session over its
+// last base.
 func (s *sessState) warm() error {
 	for c := 0; c < nproc; c++ {
-		if err := s.open(c); err != nil {
-			return err
-		}
-		for i := 0; i < sessWarm; i++ {
-			if _, err := s.do(c); err != nil {
+		for k := 0; k < sessBases; k++ {
+			if err := s.open(c); err != nil {
 				return err
+			}
+			for i := 0; i < sessWarm; i++ {
+				if _, err := s.do(c); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -273,7 +338,7 @@ func (s *sessState) warm() error {
 func (s *sessState) verify(ls *liveSession, c int) error {
 	ctx := context.Background()
 	ex := s.set.ex
-	src, err := ex.DecodeSourceJSON(bytes.NewReader(ls.base))
+	src, err := ex.DecodeSourceJSON(bytes.NewReader(ls.base.body))
 	if err != nil {
 		return err
 	}
@@ -282,7 +347,7 @@ func (s *sessState) verify(ls *liveSession, c int) error {
 		first = &f
 		return false
 	})
-	for _, body := range ls.deltas {
+	for _, body := range ls.deltas() {
 		d, err := ex.DecodeSourceJSON(bytes.NewReader(body))
 		if err != nil {
 			return err
@@ -317,7 +382,7 @@ func (s *sessState) verify(ls *liveSession, c int) error {
 		return wrongf("client %d session %s: the restarted solution differs from the persisted one", c, ls.id)
 	}
 	if err := checkField(r.body, "solution", want); err != nil {
-		return wrongf("client %d session %s after restart (%d deltas): %v", c, ls.id, len(ls.deltas), err)
+		return wrongf("client %d session %s after restart (%d deltas): %v", c, ls.id, ls.acked, err)
 	}
 	return nil
 }
@@ -327,17 +392,10 @@ func (s *sessState) verify(ls *liveSession, c int) error {
 // writes on their own.
 func (b *bench) sessTraced(s *sessState, out map[string]float64) error {
 	traced := func(c int, _ int64) error {
-		op := b.tr.newOp()
-		t0 := time.Now()
-		sm, err := s.do(c)
-		end := time.Now()
-		if err != nil {
-			return err
-		}
-		root := b.tr.record("op", op, -1, t0, end)
-		b.tr.record("server.ttfb", op, root, t0, t0.Add(sm.ttfb))
-		b.tr.record("server.body", op, root, t0.Add(sm.ttfb), t0.Add(sm.total))
-		return nil
+		return b.traceReply(func() (reply, error) {
+			sm, err := s.do(c)
+			return reply{ttfb: sm.ttfb, total: sm.total}, err
+		})
 	}
 	before, err := scrapeAll(s.client, []*daemon{s.d})
 	if err != nil {
@@ -380,47 +438,45 @@ func (b *bench) sessTraced(s *sessState, out map[string]float64) error {
 	out["server.body_ms"] = body
 	accounting(out, mean(untraced), r.meanDur("op"), ttfb, body)
 
-	// Replay the most recent sessions' deltas in-process — decode,
-	// RunDelta, and a snapshot write of the grown session, as the daemon
-	// does — until replayMin appends are timed.
-	const replayMin = 64
+	// Replay every base's delta stream in-process — decode, RunDelta,
+	// and a snapshot write of the grown session, as the daemon does.
 	ctx := context.Background()
 	ex := s.set.ex
 	var decodeMs, writeMs float64
 	var writes int
 	path := filepath.Join(b.work, "replay.snap")
-	sessions := append(s.live[:], s.retired...)
-	for i := len(sessions) - 1; i >= 0 && writes < replayMin; i-- {
-		ls := sessions[i]
-		src, err := ex.DecodeSourceJSON(bytes.NewReader(ls.base))
-		if err != nil {
-			return err
-		}
-		sol, err := ex.Run(ctx, src)
-		if err != nil {
-			return err
-		}
-		for _, body := range ls.deltas {
-			op := b.tr.newOp()
-			t0 := time.Now()
-			d, err := ex.DecodeSourceJSON(bytes.NewReader(body))
-			t1 := time.Now()
+	for c := range s.bases {
+		for _, base := range s.bases[c] {
+			src, err := ex.DecodeSourceJSON(bytes.NewReader(base.body))
 			if err != nil {
 				return err
 			}
-			b.tr.record("jsonio.decode", op, -1, t0, t1)
-			decodeMs += ms(t1.Sub(t0))
-			if sol, _, err = ex.RunDelta(ctx, sol, d); err != nil {
+			sol, err := ex.Run(ctx, src)
+			if err != nil {
 				return err
 			}
-			t2 := time.Now()
-			if err := sol.WriteSnapshotFile(path); err != nil {
-				return err
+			for _, body := range base.deltas {
+				op := b.tr.newOp()
+				t0 := time.Now()
+				d, err := ex.DecodeSourceJSON(bytes.NewReader(body))
+				t1 := time.Now()
+				if err != nil {
+					return err
+				}
+				b.tr.record("jsonio.decode", op, -1, t0, t1)
+				decodeMs += ms(t1.Sub(t0))
+				if sol, _, err = ex.RunDelta(ctx, sol, d); err != nil {
+					return err
+				}
+				t2 := time.Now()
+				if err := sol.WriteSnapshotFile(path); err != nil {
+					return err
+				}
+				t3 := time.Now()
+				b.tr.record("snapshot.write", op, -1, t2, t3)
+				writeMs += ms(t3.Sub(t2))
+				writes++
 			}
-			t3 := time.Now()
-			b.tr.record("snapshot.write", op, -1, t2, t3)
-			writeMs += ms(t3.Sub(t2))
-			writes++
 		}
 	}
 	out["jsonio.decode.ms_per_op"] = decodeMs / float64(writes)
